@@ -1,33 +1,49 @@
-//! [`Experiment`] implementations for every figure/table in the registry:
-//! the rendering that used to live in the per-figure binaries, now in one
-//! place so the `mlec` driver, the compatibility shims, and the regression
-//! tests all execute the identical code path.
+//! Every table and figure of the paper as one registered [`Experiment`].
+//! Each section below holds one experiment whole: its row type, its row
+//! function, the row's JSON schema (`impl_to_json!`), its
+//! [`ExperimentInfo`] and its renderer. The `mlec` driver, the
+//! `paper_summary` report and the regression tests all run this code;
+//! JSON artifacts keep their historical names (`fig05.json`,
+//! `table2.json`, …).
 //!
-//! Each experiment turns typed context parameters into the row/series
-//! functions of [`crate::experiments`] and renders the paper-comparable
-//! report into [`ExperimentOutput::text`]; JSON artifacts keep their
-//! historical names (`fig05.json`, `table2.json`, …).
+//! Every Monte Carlo surface here executes through `mlec-runner`: a heatmap
+//! is one deterministic [`GridTrial`] run per scheme (trial index → grid
+//! cell, per-trial seeds from the run's seed stream), so cell estimates are
+//! bit-identical across thread counts and can checkpoint/resume via JSONL
+//! manifests.
 
-use crate::experiments::{
-    fig10_durability, fig10_durability_sim, fig11_encoding_throughput, fig12_mlec_vs_slec,
-    fig12_mlec_vs_slec_sim, fig13_slec_burst_with, fig15_mlec_vs_lrc, fig15_mlec_vs_lrc_sim,
-    fig16_lrc_burst_with, fig5_mlec_burst_with, fig7_catastrophic_prob, fig7_catastrophic_prob_sim,
-    fig8_fig9_repair_methods, fig8_fig9_repair_methods_for, fig8_fig9_repair_methods_sim,
-    repair_traffic_comparison, table2_and_fig6, HeatmapRunOpts, HeatmapSpec, RepairMethodSimCell,
-};
 use crate::figdata;
 use crate::registry::{
     suggest_among, Experiment, ExperimentCtx, ExperimentError, ExperimentInfo, ExperimentOutput,
     Mode, ParamKind, ParamSpec,
 };
 use crate::report::{ascii_table, fmt_value, render_heatmap};
+use mlec_analysis::burst::{
+    lrc_burst_sample, lrc_undecodable_by_count, mlec_burst_sample, slec_burst_sample,
+};
+use mlec_analysis::chains::system_catastrophic_rate;
 use mlec_analysis::markov::nines;
-use mlec_ec::throughput::ThroughputModel;
-use mlec_ec::{LrcParams, SlecParams};
-use mlec_runner::{impl_to_json, Json, RunSpec, StopRule};
+use mlec_analysis::splitting::mlec_durability_nines;
+use mlec_analysis::tradeoff::{
+    enumerate_lrc, enumerate_mlec, enumerate_slec, ideal_lrc_undecodable_at_limit, TradeoffPoint,
+    OVERHEAD_BAND,
+};
+use mlec_ec::throughput::{measure_slec_mt, ThroughputModel};
+use mlec_ec::{Lrc, LrcParams, SlecParams};
+use mlec_runner::{
+    impl_to_json, run_with, trial_rng, GridOrder, GridTrial, HitTrial, Json, RunSpec, StopRule,
+};
+use mlec_sim::bandwidth::{
+    catastrophic_pool_repair_bw, catastrophic_pool_repair_time, repair_sizes,
+    single_disk_repair_bw, single_disk_repair_time,
+};
 use mlec_sim::config::MlecDeployment;
-use mlec_sim::RepairMethod;
-use mlec_topology::{Geometry, MlecScheme};
+use mlec_sim::importance::FailureBias;
+use mlec_sim::repair::{plan_catastrophic_repair, RepairMethod};
+use mlec_sim::traffic;
+use mlec_sim::SimConfig;
+use mlec_topology::{Geometry, MlecScheme, SlecPlacement};
+use std::path::PathBuf;
 
 /// `writeln!` into an [`ExperimentOutput`] text buffer (infallible).
 macro_rules! w {
@@ -69,6 +85,204 @@ macro_rules! experiment {
 
 const SCHEMES: [&str; 4] = ["C/C", "C/D", "D/C", "D/D"];
 const METHODS: [&str; 4] = ["R_ALL", "R_FCO", "R_HYB", "R_MIN"];
+
+// ------------------------------------------------------ runner options
+
+/// Execution options for runner-driven heatmaps: worker threads and
+/// (optionally) a directory for per-map JSONL manifests so an interrupted
+/// sweep resumes where it stopped.
+#[derive(Debug, Clone, Default)]
+pub struct HeatmapRunOpts {
+    /// Worker threads; 0 = available parallelism.
+    pub threads: usize,
+    /// Directory for run manifests; `None` disables checkpointing.
+    pub manifest_dir: Option<PathBuf>,
+    /// Path for a per-trial JSONL event log (`trace=` knob on the sim
+    /// figures); `None` disables event logging. Logging never perturbs the
+    /// simulation — results are bit-identical either way.
+    pub event_log: Option<PathBuf>,
+}
+
+impl HeatmapRunOpts {
+    /// A run spec under these options: their thread count, and a JSONL
+    /// manifest named after `run_label` when a manifest directory is set.
+    fn run_spec(&self, run_label: &str, seed: u64, stop: StopRule, config_hash: u64) -> RunSpec {
+        let spec = RunSpec::new(run_label, seed, stop)
+            .threads(self.threads)
+            .config_hash(config_hash);
+        match &self.manifest_dir {
+            Some(dir) => spec.manifest(dir.join(format!("{}.jsonl", run_label.replace('/', "-")))),
+            None => spec,
+        }
+    }
+
+    /// Open the configured event-log sink, if any.
+    fn event_log_sink(&self) -> std::io::Result<Option<mlec_sim::trials::EventLogSink>> {
+        match &self.event_log {
+            Some(path) => Ok(Some(mlec_sim::trials::EventLogSink::to_file(path)?)),
+            None => Ok(None),
+        }
+    }
+}
+
+// ------------------------------------------------------------- heatmaps
+
+/// A PDL heatmap: `pdl[yi][xi]` for failures `ys[yi]` over racks `xs[xi]`.
+#[derive(Debug, Clone)]
+pub struct Heatmap {
+    /// Series/scheme label.
+    pub label: String,
+    /// X axis: affected racks.
+    pub xs: Vec<u32>,
+    /// Y axis: failed disks.
+    pub ys: Vec<u32>,
+    /// `pdl[yi][xi]`; cells with `y < x` are impossible and set to NaN.
+    pub pdl: Vec<Vec<f64>>,
+    /// Conditional-MC trials actually executed (less than the full budget
+    /// when an adaptive precision target fired).
+    pub trials: u64,
+}
+
+/// Grid resolution of a heatmap run.
+#[derive(Debug, Clone, Copy)]
+pub struct HeatmapSpec {
+    /// Maximum failures / racks (the paper uses 60).
+    pub max: u32,
+    /// Step between grid lines (e.g. 6 gives a 10x10 grid).
+    pub step: u32,
+    /// Conditional-MC samples per cell (an upper bound when `rel_err` is
+    /// set).
+    pub samples: u32,
+    /// Base RNG seed.
+    pub seed: u64,
+    /// Adaptive precision target: stop when the pooled grid estimate
+    /// reaches this relative standard error ([`StopRule::until_rel_err`]).
+    /// Cells are then sampled interleaved (one sweep of the grid per pass)
+    /// so every cell keeps an equal share of the spent budget. `None` runs
+    /// the fixed per-cell budget in blocked order.
+    pub rel_err: Option<f64>,
+    /// Minimum samples per cell before an adaptive stop may fire.
+    pub min_samples: u32,
+}
+
+impl Default for HeatmapSpec {
+    fn default() -> HeatmapSpec {
+        HeatmapSpec {
+            max: 60,
+            step: 6,
+            samples: 60,
+            seed: 42,
+            rel_err: None,
+            min_samples: 8,
+        }
+    }
+}
+
+impl HeatmapSpec {
+    /// Grid lines: always dense over 1..=6 (the paper's PDL structure pivots
+    /// at `x = p_n + 1` racks), then stepped up to `max`.
+    fn axis(&self) -> Vec<u32> {
+        let mut v: Vec<u32> = (1..=6.min(self.max)).collect();
+        let mut x = 6 + self.step;
+        while x < self.max {
+            v.push(x);
+            x += self.step;
+        }
+        if *v.last().unwrap() != self.max {
+            v.push(self.max);
+        }
+        v
+    }
+}
+
+/// One heatmap as one deterministic runner campaign: feasible `(y, x)`
+/// cells are flattened in row-major order, trial `i` draws one
+/// conditional-MC sample of cell `i / samples`, and the per-cell Welford
+/// means become the PDL matrix (`y < x` cells stay NaN: impossible burst).
+fn run_heatmap(
+    display_label: String,
+    run_label: &str,
+    spec: &HeatmapSpec,
+    opts: &HeatmapRunOpts,
+    config_hash: u64,
+    sample: impl Fn(u32, u32, &mut mlec_runner::TrialRng) -> f64 + Sync,
+) -> Heatmap {
+    let xs = spec.axis();
+    let ys = spec.axis();
+    let cells: Vec<(u32, u32)> = ys
+        .iter()
+        .flat_map(|&y| xs.iter().filter(move |&&x| y >= x).map(move |&x| (y, x)))
+        .collect();
+
+    let trial = GridTrial {
+        cells: cells.len(),
+        samples_per_cell: spec.samples as u64,
+        order: match spec.rel_err {
+            Some(_) => GridOrder::Interleaved,
+            None => GridOrder::Blocked,
+        },
+        f: |cell: usize, seed: u64| {
+            let (y, x) = cells[cell];
+            let mut rng = trial_rng(seed);
+            sample(y, x, &mut rng)
+        },
+    };
+    let stop = match spec.rel_err {
+        Some(rel) => StopRule::until_rel_err(
+            rel,
+            cells.len() as u64 * spec.min_samples.min(spec.samples) as u64,
+            trial.total_trials(),
+        ),
+        None => StopRule::fixed(trial.total_trials()),
+    };
+    let run_spec = opts.run_spec(run_label, spec.seed, stop, config_hash);
+    let report = run_with(&trial, &run_spec, trial.empty()).expect("heatmap run");
+
+    let mut pdl = vec![vec![f64::NAN; xs.len()]; ys.len()];
+    let mut yi_of = std::collections::BTreeMap::new();
+    for (yi, &y) in ys.iter().enumerate() {
+        yi_of.insert(y, yi);
+    }
+    let mut xi_of = std::collections::BTreeMap::new();
+    for (xi, &x) in xs.iter().enumerate() {
+        xi_of.insert(x, xi);
+    }
+    for (cell, &(y, x)) in cells.iter().enumerate() {
+        pdl[yi_of[&y]][xi_of[&x]] = report.acc.cell(cell).mean();
+    }
+    Heatmap {
+        label: display_label,
+        xs,
+        ys,
+        pdl,
+        trials: report.trials,
+    }
+}
+
+fn heatmap_config_hash(spec: &HeatmapSpec, extra: &str) -> u64 {
+    let mut fields = vec![
+        ("max", Json::U64(spec.max as u64)),
+        ("step", Json::U64(spec.step as u64)),
+    ];
+    match spec.rel_err {
+        // Fixed budget: `samples` is run identity (blocked order maps
+        // trial index -> cell through it).
+        None => fields.push(("samples", Json::U64(spec.samples as u64))),
+        // Adaptive: the budget is a stop rule, not identity (a resumed run
+        // may extend it), but the interleaved index -> cell mapping is.
+        Some(_) => fields.push(("order", Json::Str("interleaved".to_string()))),
+    }
+    fields.push(("extra", Json::Str(extra.to_string())));
+    Json::obj(fields).fingerprint()
+}
+
+impl_to_json!(Heatmap {
+    label,
+    xs,
+    ys,
+    pdl,
+    trials
+});
 
 static HEATMAP_PARAMS: &[ParamSpec] = params![
     (
@@ -132,11 +346,7 @@ fn heatmap_grid_line(out: &mut ExperimentOutput, spec: &HeatmapSpec) {
     );
 }
 
-fn render_maps(
-    out: &mut ExperimentOutput,
-    spec: &HeatmapSpec,
-    maps: &[crate::experiments::Heatmap],
-) {
+fn render_maps(out: &mut ExperimentOutput, spec: &HeatmapSpec, maps: &[Heatmap]) {
     for map in maps {
         w!(out.text, "{}", render_heatmap(map));
         if spec.rel_err.is_some() {
@@ -194,6 +404,56 @@ experiment!(Fig01, FIG01_INFO, run_fig01);
 
 // --------------------------------------------------------------- table2
 
+/// One row of Table 2 / Fig 6.
+#[derive(Debug, Clone)]
+pub struct RepairBandwidthRow {
+    /// Scheme label.
+    pub scheme: String,
+    /// Single-disk repair size, TB.
+    pub disk_size_tb: f64,
+    /// Single-disk available repair bandwidth, MB/s.
+    pub disk_bw_mbs: f64,
+    /// Catastrophic-pool repair size, TB.
+    pub pool_size_tb: f64,
+    /// Catastrophic-pool available repair bandwidth, MB/s.
+    pub pool_bw_mbs: f64,
+    /// Fig 6a: single-disk repair time, hours.
+    pub disk_repair_hours: f64,
+    /// Fig 6b: catastrophic-pool repair time (`R_ALL`), hours.
+    pub pool_repair_hours: f64,
+}
+
+/// Table 2 + Fig 6: repair sizes, bandwidths, and times per scheme.
+pub fn table2_and_fig6() -> Vec<RepairBandwidthRow> {
+    MlecScheme::ALL
+        .into_iter()
+        .map(|scheme| {
+            let dep = MlecDeployment::paper_default(scheme);
+            let (disk, pool) = repair_sizes(&dep);
+            let (disk_tb, pool_tb) = (disk.to_tb(), pool.to_tb());
+            RepairBandwidthRow {
+                scheme: scheme.name(),
+                disk_size_tb: disk_tb,
+                disk_bw_mbs: single_disk_repair_bw(&dep).to_mbs(),
+                pool_size_tb: pool_tb,
+                pool_bw_mbs: catastrophic_pool_repair_bw(&dep).to_mbs(),
+                disk_repair_hours: single_disk_repair_time(&dep).to_hours(),
+                pool_repair_hours: catastrophic_pool_repair_time(&dep).to_hours(),
+            }
+        })
+        .collect()
+}
+
+impl_to_json!(RepairBandwidthRow {
+    scheme,
+    disk_size_tb,
+    disk_bw_mbs,
+    pool_size_tb,
+    pool_bw_mbs,
+    disk_repair_hours,
+    pool_repair_hours,
+});
+
 static TABLE2_INFO: ExperimentInfo = ExperimentInfo {
     name: "table2",
     title: "Table 2",
@@ -245,6 +505,26 @@ experiment!(Table2, TABLE2_INFO, run_table2);
 
 // ---------------------------------------------------------------- fig05
 
+/// Fig 5: PDL heatmaps of the four MLEC schemes under correlated bursts,
+/// run with `opts` (threads, manifests).
+pub fn fig5_mlec_burst(spec: &HeatmapSpec, opts: &HeatmapRunOpts) -> Vec<Heatmap> {
+    MlecScheme::ALL
+        .into_iter()
+        .map(|scheme| {
+            let dep = MlecDeployment::paper_default(scheme);
+            let run_label = format!("fig05/{}", scheme.name().replace('/', ""));
+            run_heatmap(
+                scheme.name(),
+                &run_label,
+                spec,
+                opts,
+                heatmap_config_hash(spec, &scheme.name()),
+                |y, x, rng| mlec_burst_sample(&dep, y, x, rng),
+            )
+        })
+        .collect()
+}
+
 static FIG05_INFO: ExperimentInfo = ExperimentInfo {
     name: "fig05",
     title: "Figure 5",
@@ -259,7 +539,7 @@ fn run_fig05(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
     let spec = heatmap_spec(ctx);
     let mut out = ExperimentOutput::new();
     heatmap_grid_line(&mut out, &spec);
-    let maps = fig5_mlec_burst_with(&spec, &ctx.runner);
+    let maps = fig5_mlec_burst(&spec, &ctx.runner);
     render_maps(&mut out, &spec, &maps);
     w!(out.text, "paper findings to check against:");
     w!(
@@ -329,6 +609,163 @@ fn run_fig06(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> 
 experiment!(Fig06, FIG06_INFO, run_fig06);
 
 // ---------------------------------------------------------------- fig07
+
+/// Fig 7: probability of a catastrophic local failure per system-year.
+#[derive(Debug, Clone)]
+pub struct CatastrophicProbRow {
+    /// Scheme label.
+    pub scheme: String,
+    /// Catastrophic local-pool probability per system-year.
+    pub prob_per_year: f64,
+}
+
+/// Fig 7 runner.
+pub fn fig7_catastrophic_prob() -> Vec<CatastrophicProbRow> {
+    MlecScheme::ALL
+        .into_iter()
+        .map(|scheme| CatastrophicProbRow {
+            scheme: scheme.name(),
+            prob_per_year: system_catastrophic_rate(&MlecDeployment::paper_default(scheme))
+                .to_per_year(),
+        })
+        .collect()
+}
+
+/// One simulated Fig 7 row: the catastrophic-pool rate measured by a
+/// runner-driven pool-simulation campaign, with its compound-Poisson 95%
+/// interval (plain Poisson under unbiased simulation).
+#[derive(Debug, Clone)]
+pub struct CatastrophicSimRow {
+    /// Scheme label.
+    pub scheme: String,
+    /// Simulated (weighted) catastrophic events per pool-year; the Poisson
+    /// 95% upper bound when `unobserved` is set.
+    pub rate_per_pool_year: f64,
+    /// 95% interval on the rate (compound-Poisson statistics).
+    pub rate_ci_low: f64,
+    pub rate_ci_high: f64,
+    /// Catastrophic probability per system-year implied by the rate.
+    pub prob_per_system_year: f64,
+    /// Analytic (Markov-chain) counterpart at the same AFR, for comparison.
+    pub analytic_prob_per_system_year: f64,
+    /// Catastrophic events observed (raw count).
+    pub events: u64,
+    /// Likelihood-weighted event total (equals `events` when unbiased).
+    pub weighted_events: f64,
+    /// Effective sample size of the weighted events.
+    pub ess: f64,
+    /// Mean likelihood weight per excursion (≈1 when correctly weighted).
+    pub mean_weight: f64,
+    /// Importance-sampling multiplier applied while the pool was degraded.
+    pub bias: f64,
+    /// Pool-years simulated.
+    pub pool_years: f64,
+    /// Fraction of simulated time the pool spent degraded (≥1 disk failed).
+    pub degraded_frac: f64,
+    /// True when zero events were observed and the rate is an upper bound.
+    pub unobserved: bool,
+}
+
+/// Resolve the `bias=` knob for a scheme: `None` picks
+/// [`FailureBias::auto`] for the deployment/model, `Some(1.0)` forces
+/// direct simulation, any other multiplier biases the degraded state.
+fn resolve_bias(
+    bias: Option<f64>,
+    dep: &MlecDeployment,
+    model: &mlec_sim::failure::FailureModel,
+) -> FailureBias {
+    match bias {
+        None => FailureBias::auto(dep, model),
+        Some(1.0) => FailureBias::NONE,
+        Some(b) => FailureBias::degraded_only(b),
+    }
+}
+
+/// Fig 7 `mode=sim`: measure each scheme's catastrophic-pool rate by
+/// pool simulation through `mlec-runner`. With importance sampling
+/// (`bias = None` for auto, or an explicit degraded-state multiplier) this
+/// works at the paper's true 1% AFR; both columns use the same AFR, so the
+/// sim-vs-analytic comparison stays valid.
+pub fn fig7_catastrophic_prob_sim(
+    afr: f64,
+    years_per_trial: f64,
+    trials: u64,
+    seed: u64,
+    bias: Option<f64>,
+    opts: &HeatmapRunOpts,
+) -> std::io::Result<Vec<CatastrophicSimRow>> {
+    let mut out = Vec::new();
+    let sink = opts.event_log_sink()?;
+    for scheme in MlecScheme::ALL {
+        let mut dep = MlecDeployment::paper_default(scheme);
+        dep.config.afr = afr;
+        let model = mlec_sim::failure::FailureModel::Exponential { afr };
+        let fb = resolve_bias(bias, &dep, &model);
+        // The trial budget is a stop rule, not run identity: trial seeds
+        // depend only on (root seed, label, index), so extending `trials`
+        // must resume an existing manifest rather than refuse it. The
+        // resolved bias multiplier IS run identity (it changes every trial
+        // result), so it goes into the hash — per scheme, because auto
+        // bias differs across schemes.
+        let config_hash = Json::obj(vec![
+            ("afr", Json::F64(afr)),
+            ("years_per_trial", Json::F64(years_per_trial)),
+            ("bias_degraded", Json::F64(fb.degraded)),
+        ])
+        .fingerprint();
+        let run_label = format!("fig07/{}", scheme.name().replace('/', ""));
+        let spec = opts.run_spec(&run_label, seed, StopRule::fixed(trials), config_hash);
+        let (s1, report) = mlec_analysis::splitting::stage1_via_runner_logged(
+            &dep,
+            &model,
+            years_per_trial,
+            fb,
+            &spec,
+            sink.as_ref(),
+        )?;
+        let pools = dep.local_pools().num_pools() as f64;
+        let summary = report.summary;
+        out.push(CatastrophicSimRow {
+            scheme: scheme.name(),
+            rate_per_pool_year: s1.cat_rate_per_pool_year,
+            rate_ci_low: summary.ci_low,
+            rate_ci_high: summary.ci_high,
+            prob_per_system_year: -(-s1.cat_rate_per_pool_year * pools).exp_m1(),
+            analytic_prob_per_system_year: -(-system_catastrophic_rate(&dep).to_per_year())
+                .exp_m1(),
+            events: report.acc.events(),
+            weighted_events: report.acc.rate.weighted_events(),
+            ess: report.acc.rate.ess(),
+            mean_weight: report.acc.mean_excursion_weight(),
+            bias: fb.degraded,
+            pool_years: report.acc.pool_years(),
+            degraded_frac: report.acc.degraded_fraction(),
+            unobserved: s1.unobserved,
+        });
+    }
+    Ok(out)
+}
+
+impl_to_json!(CatastrophicProbRow {
+    scheme,
+    prob_per_year
+});
+impl_to_json!(CatastrophicSimRow {
+    scheme,
+    rate_per_pool_year,
+    rate_ci_low,
+    rate_ci_high,
+    prob_per_system_year,
+    analytic_prob_per_system_year,
+    events,
+    weighted_events,
+    ess,
+    mean_weight,
+    bias,
+    pool_years,
+    degraded_frac,
+    unobserved,
+});
 
 static FIG07_INFO: ExperimentInfo = ExperimentInfo {
     name: "fig07",
@@ -499,80 +936,203 @@ experiment!(Fig07, FIG07_INFO, run_fig07);
 
 // ---------------------------------------------------------- fig08/fig09
 
+/// One (scheme, method) cell of Fig 8 / Fig 9.
+#[derive(Debug, Clone)]
+pub struct RepairMethodCell {
+    /// Scheme label.
+    pub scheme: String,
+    /// Method label.
+    pub method: String,
+    /// Fig 8: cross-rack traffic, TB.
+    pub cross_rack_tb: f64,
+    /// Fig 9 solid bar: network repair time, hours.
+    pub network_time_h: f64,
+    /// Fig 9 striped bar: local repair time, hours.
+    pub local_time_h: f64,
+}
+
+/// Fig 8 + Fig 9: repair traffic and times for `methods` × schemes.
+/// [`RepairMethod::PAPER`] is the exact paper reproduction; the `method=`
+/// registry parameter can add the beyond-the-paper strategies.
+pub fn fig8_fig9_repair_methods(methods: &[RepairMethod]) -> Vec<RepairMethodCell> {
+    let mut out = Vec::new();
+    for scheme in MlecScheme::ALL {
+        let dep = MlecDeployment::paper_default(scheme);
+        for &method in methods {
+            let plan = plan_catastrophic_repair(&dep, method);
+            out.push(RepairMethodCell {
+                scheme: scheme.name(),
+                method: method.name().to_string(),
+                cross_rack_tb: plan.cross_rack_traffic_tb,
+                network_time_h: plan.network_time_h,
+                local_time_h: plan.local_time_h,
+            });
+        }
+    }
+    out
+}
+
+/// One (scheme, method) cell of Fig 8 / Fig 9 `mode=sim`: the analytic
+/// repair plan next to per-catastrophic-pool traffic and sojourn measured
+/// by whole-system simulation at an inflated AFR.
+#[derive(Debug, Clone)]
+pub struct RepairMethodSimCell {
+    /// Scheme label.
+    pub scheme: String,
+    /// Method label.
+    pub method: String,
+    /// Analytic plan: cross-rack traffic per catastrophic pool, TB.
+    pub plan_cross_rack_tb: f64,
+    /// Analytic plan: network repair time per catastrophic pool, hours.
+    pub plan_network_time_h: f64,
+    /// Measured: mean cross-rack traffic per catastrophic pool, TB.
+    pub sim_cross_rack_tb: f64,
+    /// Measured: mean network-repair sojourn per catastrophic pool, hours.
+    pub sim_network_time_h: f64,
+    /// Catastrophic pools observed across all missions.
+    pub catastrophic_pools: u64,
+    /// Missions simulated.
+    pub missions: u64,
+}
+
+/// Fig 8 + Fig 9 `mode=sim`: measure per-catastrophic-pool repair traffic
+/// and sojourn by running whole-system missions through `mlec-runner` (one
+/// campaign per scheme × method, at an AFR inflated enough to observe
+/// catastrophic pools directly). The analytic plan of
+/// [`fig8_fig9_repair_methods`] sits beside the measurement; they must
+/// agree because the simulator charges repairs from the same plan — the
+/// sim columns confirm the event accounting, catastrophe frequencies and
+/// determinism of the pipeline, not an independent physical model.
+pub fn fig8_fig9_repair_methods_sim(
+    afr: f64,
+    years_per_trial: f64,
+    trials: u64,
+    seed: u64,
+    methods: &[RepairMethod],
+    opts: &HeatmapRunOpts,
+) -> std::io::Result<Vec<RepairMethodSimCell>> {
+    let mut out = Vec::new();
+    for scheme in MlecScheme::ALL {
+        let mut dep = MlecDeployment::paper_default(scheme);
+        dep.config.afr = afr;
+        let model = mlec_sim::failure::FailureModel::Exponential { afr };
+        for &method in methods {
+            let plan = plan_catastrophic_repair(&dep, method);
+            let trial = mlec_sim::trials::SystemTrial {
+                dep: &dep,
+                model: &model,
+                strategy: method.strategy(),
+                years: years_per_trial,
+                opts: mlec_sim::system_sim::SystemSimOptions::default(),
+                event_log: None,
+                log_label: "",
+            };
+            // Trial budget excluded (a resumed run may extend it), the
+            // physics included — see fig7_catastrophic_prob_sim.
+            let config_hash = Json::obj(vec![
+                ("afr", Json::F64(afr)),
+                ("years_per_trial", Json::F64(years_per_trial)),
+                ("method", Json::Str(method.name().to_string())),
+            ])
+            .fingerprint();
+            let run_label = format!("fig08/{}-{}", scheme.name().replace('/', ""), method.name());
+            let spec = opts.run_spec(&run_label, seed, StopRule::fixed(trials), config_hash);
+            let report = mlec_runner::run(&trial, &spec)?;
+            let acc = &report.acc;
+            let cat = acc.catastrophic_pools;
+            let missions = report.trials;
+            let total_traffic = acc.cross_rack_traffic_tb.mean() * missions as f64;
+            let total_sojourn = acc.total_sojourn_h.mean() * missions as f64;
+            out.push(RepairMethodSimCell {
+                scheme: scheme.name(),
+                method: method.name().to_string(),
+                plan_cross_rack_tb: plan.cross_rack_traffic_tb,
+                plan_network_time_h: plan.network_time_h,
+                sim_cross_rack_tb: if cat > 0 {
+                    total_traffic / cat as f64
+                } else {
+                    f64::NAN
+                },
+                sim_network_time_h: if cat > 0 {
+                    total_sojourn / cat as f64
+                } else {
+                    f64::NAN
+                },
+                catastrophic_pools: cat,
+                missions,
+            });
+        }
+    }
+    Ok(out)
+}
+
+impl_to_json!(RepairMethodCell {
+    scheme,
+    method,
+    cross_rack_tb,
+    network_time_h,
+    local_time_h,
+});
+impl_to_json!(RepairMethodSimCell {
+    scheme,
+    method,
+    plan_cross_rack_tb,
+    plan_network_time_h,
+    sim_cross_rack_tb,
+    sim_network_time_h,
+    catastrophic_pools,
+    missions,
+});
+
+static REPAIR_METHOD_PARAMS: &[ParamSpec] = params![
+    (
+        "afr_pct",
+        F64,
+        "75",
+        "inflated AFR percent so missions observe catastrophes (mode=sim)"
+    ),
+    (
+        "years",
+        F64,
+        "2",
+        "mission length in years per trial (mode=sim)"
+    ),
+    (
+        "trials",
+        U64,
+        "8",
+        "whole-system missions per scheme x method (mode=sim)"
+    ),
+    ("seed", U64, "42", "root RNG seed (mode=sim)"),
+    (
+        "method",
+        Str,
+        "paper",
+        "repair methods: `paper` (R_ALL..R_MIN), `all` (adds R_LAYER, R_PIGGY), or a comma-separated label list"
+    ),
+];
+
+static REPAIR_METHOD_FAST: &[(&str, &str)] = &[("trials", "2"), ("years", "1"), ("method", "all")];
+
 static FIG08_INFO: ExperimentInfo = ExperimentInfo {
     name: "fig08",
     title: "Figure 8",
     description: "cross-rack repair traffic (TB) per method and scheme",
     paper_ref: "§4.3, Fig 8",
     modes: &[Mode::Analytic, Mode::Sim],
-    params: params![
-        (
-            "afr_pct",
-            F64,
-            "75",
-            "inflated AFR percent so missions observe catastrophes (mode=sim)"
-        ),
-        (
-            "years",
-            F64,
-            "2",
-            "mission length in years per trial (mode=sim)"
-        ),
-        (
-            "trials",
-            U64,
-            "8",
-            "whole-system missions per scheme x method (mode=sim)"
-        ),
-        ("seed", U64, "42", "root RNG seed (mode=sim)"),
-        (
-            "method",
-            Str,
-            "paper",
-            "repair methods: `paper` (R_ALL..R_MIN), `all` (adds R_LAYER, R_PIGGY), or a comma-separated label list"
-        ),
-    ],
-    fast: &[("trials", "2"), ("years", "1"), ("method", "all")],
+    params: REPAIR_METHOD_PARAMS,
+    fast: REPAIR_METHOD_FAST,
 };
 
 fn run_fig08(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
     if ctx.mode == Mode::Sim {
-        let (cells, mut out) = repair_methods_sim_campaign(ctx)?;
-        let table: Vec<Vec<String>> = cells
-            .iter()
-            .map(|c| {
-                vec![
-                    c.scheme.clone(),
-                    c.method.clone(),
-                    fmt_value(c.plan_cross_rack_tb),
-                    sim_cell(c, c.sim_cross_rack_tb),
-                    c.catastrophic_pools.to_string(),
-                    c.missions.to_string(),
-                ]
-            })
-            .collect();
-        w!(
-            out.text,
-            "{}",
-            ascii_table(
-                &[
-                    "scheme",
-                    "method",
-                    "plan TB",
-                    "sim TB/pool",
-                    "cat pools",
-                    "missions"
-                ],
-                &table
-            )
-        );
-        repair_methods_sim_footer(&mut out);
-        out.artifact("fig08_sim", &cells);
-        return Ok(out);
+        return run_repair_methods_sim(ctx, "fig08_sim", ["plan TB", "sim TB/pool"], |c| {
+            (c.plan_cross_rack_tb, c.sim_cross_rack_tb)
+        });
     }
     let methods = parse_methods(ctx)?;
     let mut out = ExperimentOutput::new();
-    let cells = fig8_fig9_repair_methods_for(&methods);
+    let cells = fig8_fig9_repair_methods(&methods);
     let rows: Vec<Vec<String>> = methods
         .iter()
         .map(|m| {
@@ -609,74 +1169,22 @@ static FIG09_INFO: ExperimentInfo = ExperimentInfo {
     description: "repair time split into network (-N) and local (-L) phases",
     paper_ref: "§4.3, Fig 9",
     modes: &[Mode::Analytic, Mode::Sim],
-    params: params![
-        (
-            "afr_pct",
-            F64,
-            "75",
-            "inflated AFR percent so missions observe catastrophes (mode=sim)"
-        ),
-        (
-            "years",
-            F64,
-            "2",
-            "mission length in years per trial (mode=sim)"
-        ),
-        (
-            "trials",
-            U64,
-            "8",
-            "whole-system missions per scheme x method (mode=sim)"
-        ),
-        ("seed", U64, "42", "root RNG seed (mode=sim)"),
-        (
-            "method",
-            Str,
-            "paper",
-            "repair methods: `paper` (R_ALL..R_MIN), `all` (adds R_LAYER, R_PIGGY), or a comma-separated label list"
-        ),
-    ],
-    fast: &[("trials", "2"), ("years", "1"), ("method", "all")],
+    params: REPAIR_METHOD_PARAMS,
+    fast: REPAIR_METHOD_FAST,
 };
 
 fn run_fig09(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
     if ctx.mode == Mode::Sim {
-        let (cells, mut out) = repair_methods_sim_campaign(ctx)?;
-        let table: Vec<Vec<String>> = cells
-            .iter()
-            .map(|c| {
-                vec![
-                    c.scheme.clone(),
-                    c.method.clone(),
-                    fmt_value(c.plan_network_time_h),
-                    sim_cell(c, c.sim_network_time_h),
-                    c.catastrophic_pools.to_string(),
-                    c.missions.to_string(),
-                ]
-            })
-            .collect();
-        w!(
-            out.text,
-            "{}",
-            ascii_table(
-                &[
-                    "scheme",
-                    "method",
-                    "plan network h",
-                    "sim network h/pool",
-                    "cat pools",
-                    "missions"
-                ],
-                &table
-            )
+        return run_repair_methods_sim(
+            ctx,
+            "fig09_sim",
+            ["plan network h", "sim network h/pool"],
+            |c| (c.plan_network_time_h, c.sim_network_time_h),
         );
-        repair_methods_sim_footer(&mut out);
-        out.artifact("fig09_sim", &cells);
-        return Ok(out);
     }
     let methods = parse_methods(ctx)?;
     let mut out = ExperimentOutput::new();
-    let cells = fig8_fig9_repair_methods_for(&methods);
+    let cells = fig8_fig9_repair_methods(&methods);
     let rows: Vec<Vec<String>> = cells
         .iter()
         .map(|c| {
@@ -711,17 +1219,15 @@ fn run_fig09(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
 
 experiment!(Fig09, FIG09_INFO, run_fig09);
 
-fn sim_cell(c: &RepairMethodSimCell, value: f64) -> String {
-    if c.catastrophic_pools == 0 {
-        "-".to_string()
-    } else {
-        fmt_value(value)
-    }
-}
-
-fn repair_methods_sim_campaign(
+/// `mode=sim` of fig08 and fig09: one whole-system campaign per scheme ×
+/// method, rendered as the analytic plan column (`columns[0]`) beside its
+/// measured per-catastrophic-pool counterpart (`columns[1]`).
+fn run_repair_methods_sim(
     ctx: &ExperimentCtx,
-) -> Result<(Vec<RepairMethodSimCell>, ExperimentOutput), ExperimentError> {
+    artifact: &str,
+    columns: [&str; 2],
+    plan_and_sim: fn(&RepairMethodSimCell) -> (f64, f64),
+) -> Result<ExperimentOutput, ExperimentError> {
     let afr = ctx.f64("afr_pct") / 100.0;
     let years = ctx.f64("years");
     let trials = ctx.u64("trials");
@@ -736,7 +1242,62 @@ fn repair_methods_sim_campaign(
         labels.join(",")
     );
     let cells = fig8_fig9_repair_methods_sim(afr, years, trials, seed, &methods, &ctx.runner)?;
-    Ok((cells, out))
+    let table: Vec<Vec<String>> = cells
+        .iter()
+        .map(|c| {
+            let (plan, sim) = plan_and_sim(c);
+            vec![
+                c.scheme.clone(),
+                c.method.clone(),
+                fmt_value(plan),
+                if c.catastrophic_pools == 0 {
+                    "-".to_string()
+                } else {
+                    fmt_value(sim)
+                },
+                c.catastrophic_pools.to_string(),
+                c.missions.to_string(),
+            ]
+        })
+        .collect();
+    w!(
+        out.text,
+        "{}",
+        ascii_table(
+            &[
+                "scheme",
+                "method",
+                columns[0],
+                columns[1],
+                "cat pools",
+                "missions"
+            ],
+            &table
+        )
+    );
+    w!(
+        out.text,
+        "reading: the sim column is the mean measured per-catastrophic-pool value"
+    );
+    w!(
+        out.text,
+        "across whole-system missions; it tracks the analytic plan because the"
+    );
+    w!(
+        out.text,
+        "simulator charges repairs from that plan — agreement validates the event"
+    );
+    w!(
+        out.text,
+        "accounting and the deterministic campaign pipeline, not an independent"
+    );
+    w!(
+        out.text,
+        "physical model. `-` marks campaigns that observed no catastrophic pool"
+    );
+    w!(out.text, "(raise afr_pct, years, or trials).");
+    out.artifact(artifact, &cells);
+    Ok(out)
 }
 
 /// Parse the `method=` parameter of fig08/fig09: `paper` (the four §2.4
@@ -785,31 +1346,142 @@ fn parse_methods(ctx: &ExperimentCtx) -> Result<Vec<RepairMethod>, ExperimentErr
     Ok(methods)
 }
 
-fn repair_methods_sim_footer(out: &mut ExperimentOutput) {
-    w!(
-        out.text,
-        "reading: the sim column is the mean measured per-catastrophic-pool value"
-    );
-    w!(
-        out.text,
-        "across whole-system missions; it tracks the analytic plan because the"
-    );
-    w!(
-        out.text,
-        "simulator charges repairs from that plan — agreement validates the event"
-    );
-    w!(
-        out.text,
-        "accounting and the deterministic campaign pipeline, not an independent"
-    );
-    w!(
-        out.text,
-        "physical model. `-` marks campaigns that observed no catastrophic pool"
-    );
-    w!(out.text, "(raise afr_pct, years, or trials).");
+// ---------------------------------------------------------------- fig10
+
+/// One (scheme, method) durability cell of Fig 10.
+#[derive(Debug, Clone)]
+pub struct DurabilityCell {
+    /// Scheme label.
+    pub scheme: String,
+    /// Method label.
+    pub method: String,
+    /// One-year durability, nines.
+    pub nines: f64,
 }
 
-// ---------------------------------------------------------------- fig10
+/// Fig 10: durability of schemes × repair methods.
+pub fn fig10_durability() -> Vec<DurabilityCell> {
+    let mut out = Vec::new();
+    for scheme in MlecScheme::ALL {
+        let dep = MlecDeployment::paper_default(scheme);
+        for method in RepairMethod::PAPER {
+            out.push(DurabilityCell {
+                scheme: scheme.name(),
+                method: method.name().to_string(),
+                nines: mlec_durability_nines(&dep, method),
+            });
+        }
+    }
+    out
+}
+
+/// One simulated Fig 10 cell: durability with a *simulated* stage 1
+/// (pool-sim campaign through `mlec-runner`) next to the analytic one.
+#[derive(Debug, Clone)]
+pub struct DurabilitySimCell {
+    /// Scheme label.
+    pub scheme: String,
+    /// Method label.
+    pub method: String,
+    /// One-year durability (nines) with the simulated stage-1 rate; a
+    /// durability *lower bound* when `unobserved` is set.
+    pub nines_sim_stage1: f64,
+    /// One-year durability (nines) with the analytic stage-1 rate.
+    pub nines_analytic_stage1: f64,
+    /// Catastrophic events observed in stage 1 (raw count).
+    pub events: u64,
+    /// Likelihood-weighted event total (equals `events` when unbiased).
+    pub weighted_events: f64,
+    /// Effective sample size of the weighted events.
+    pub ess: f64,
+    /// Importance-sampling multiplier applied while the pool was degraded.
+    pub bias: f64,
+    /// Pool-years simulated in stage 1.
+    pub pool_years: f64,
+    /// Fraction of stage-1 simulated time the pool spent degraded.
+    pub degraded_frac: f64,
+    /// True when stage 1 observed zero events (sim nines are a lower bound
+    /// from the Poisson zero-event rate bound, not ∞).
+    pub unobserved: bool,
+}
+
+/// Fig 10 `mode=sim`: the splitting estimator with stage 1 *measured* by a
+/// runner-driven pool-simulation campaign (one per scheme, shared across
+/// repair methods) instead of the pool Markov chain. With importance
+/// sampling (`bias = None` for auto) stage-1 events are observable at the
+/// paper's true 1% AFR; the analytic column uses the same AFR so the two
+/// stage-1 variants are directly comparable.
+pub fn fig10_durability_sim(
+    afr: f64,
+    years_per_trial: f64,
+    trials: u64,
+    seed: u64,
+    bias: Option<f64>,
+    opts: &HeatmapRunOpts,
+) -> std::io::Result<Vec<DurabilitySimCell>> {
+    use mlec_analysis::splitting::{stage1_analytic, stage1_via_runner_logged, stage2_pdl};
+    use mlec_units::Duration;
+    let mut out = Vec::new();
+    let sink = opts.event_log_sink()?;
+    for scheme in MlecScheme::ALL {
+        let mut dep = MlecDeployment::paper_default(scheme);
+        dep.config.afr = afr;
+        let model = mlec_sim::failure::FailureModel::Exponential { afr };
+        let fb = resolve_bias(bias, &dep, &model);
+        // `trials` deliberately excluded, resolved bias deliberately
+        // included — see fig7_catastrophic_prob_sim.
+        let config_hash = Json::obj(vec![
+            ("afr", Json::F64(afr)),
+            ("years_per_trial", Json::F64(years_per_trial)),
+            ("bias_degraded", Json::F64(fb.degraded)),
+        ])
+        .fingerprint();
+        let run_label = format!("fig10/{}", scheme.name().replace('/', ""));
+        let spec = opts.run_spec(&run_label, seed, StopRule::fixed(trials), config_hash);
+        let (s1_sim, report) =
+            stage1_via_runner_logged(&dep, &model, years_per_trial, fb, &spec, sink.as_ref())?;
+        let s1_analytic = stage1_analytic(&dep);
+        for method in RepairMethod::PAPER {
+            out.push(DurabilitySimCell {
+                scheme: scheme.name(),
+                method: method.name().to_string(),
+                nines_sim_stage1: mlec_analysis::markov::nines(
+                    stage2_pdl(&dep, method, &s1_sim, Duration::from_years(1.0)).max(1e-300),
+                ),
+                nines_analytic_stage1: mlec_analysis::markov::nines(
+                    stage2_pdl(&dep, method, &s1_analytic, Duration::from_years(1.0)).max(1e-300),
+                ),
+                events: report.acc.events(),
+                weighted_events: report.acc.rate.weighted_events(),
+                ess: report.acc.rate.ess(),
+                bias: fb.degraded,
+                pool_years: report.acc.pool_years(),
+                degraded_frac: report.acc.degraded_fraction(),
+                unobserved: s1_sim.unobserved,
+            });
+        }
+    }
+    Ok(out)
+}
+
+impl_to_json!(DurabilityCell {
+    scheme,
+    method,
+    nines
+});
+impl_to_json!(DurabilitySimCell {
+    scheme,
+    method,
+    nines_sim_stage1,
+    nines_analytic_stage1,
+    events,
+    weighted_events,
+    ess,
+    bias,
+    pool_years,
+    degraded_frac,
+    unobserved,
+});
 
 static FIG10_INFO: ExperimentInfo = ExperimentInfo {
     name: "fig10",
@@ -999,6 +1671,45 @@ experiment!(Fig10, FIG10_INFO, run_fig10);
 
 // ---------------------------------------------------------------- fig11
 
+/// One measured point of the Fig 11 throughput surface.
+#[derive(Debug, Clone)]
+pub struct ThroughputCell {
+    /// Data chunks.
+    pub k: usize,
+    /// Parity chunks.
+    pub p: usize,
+    /// Measured single-core encoding throughput, MB/s.
+    pub mb_per_s: f64,
+}
+
+/// Fig 11: measure the `(k + p)` encoding-throughput surface.
+/// `ks`/`ps` select the grid; `chunk_bytes` is the chunk size (the paper
+/// uses 128 KB); `min_bytes` the data pushed per point; `threads` the
+/// number of worker threads each stripe is split across (`<= 1` =
+/// single-core, the paper's Fig 11 setup).
+pub fn fig11_encoding_throughput(
+    ks: &[usize],
+    ps: &[usize],
+    chunk_bytes: usize,
+    min_bytes: usize,
+    threads: usize,
+) -> Vec<ThroughputCell> {
+    let mut out = Vec::new();
+    for &p in ps {
+        for &k in ks {
+            let pt = measure_slec_mt(k, p, chunk_bytes, min_bytes, threads);
+            out.push(ThroughputCell {
+                k,
+                p,
+                mb_per_s: pt.mb_per_s,
+            });
+        }
+    }
+    out
+}
+
+impl_to_json!(ThroughputCell { k, p, mb_per_s });
+
 static FIG11_INFO: ExperimentInfo = ExperimentInfo {
     name: "fig11",
     title: "Figure 11",
@@ -1108,6 +1819,257 @@ fn tradeoff_tables(
         );
     }
 }
+
+/// Fig 12: MLEC (C/C, C/D) vs SLEC tradeoff scatter.
+pub fn fig12_mlec_vs_slec(model: &ThroughputModel) -> Vec<TradeoffPoint> {
+    let g = Geometry::paper_default();
+    let c = SimConfig::paper_default();
+    let mut out = Vec::new();
+    out.extend(enumerate_mlec(&g, &c, MlecScheme::CC, OVERHEAD_BAND, model));
+    out.extend(enumerate_mlec(&g, &c, MlecScheme::CD, OVERHEAD_BAND, model));
+    for placement in SlecPlacement::ALL {
+        out.extend(enumerate_slec(&g, &c, placement, OVERHEAD_BAND, model));
+    }
+    out
+}
+
+/// Fig 15: MLEC C/D vs LRC-Dp tradeoff scatter.
+pub fn fig15_mlec_vs_lrc(model: &ThroughputModel) -> Vec<TradeoffPoint> {
+    let g = Geometry::paper_default();
+    let c = SimConfig::paper_default();
+    let mut out = Vec::new();
+    out.extend(enumerate_mlec(&g, &c, MlecScheme::CD, OVERHEAD_BAND, model));
+    out.extend(enumerate_lrc(
+        &g,
+        &c,
+        OVERHEAD_BAND,
+        model,
+        ideal_lrc_undecodable_at_limit,
+    ));
+    out
+}
+
+/// One burst-PDL cross-check row of Fig 12 `mode=sim`: the paper's
+/// flagship configuration of a Fig 12 family, with its stress-cell burst
+/// PDL measured by an adaptive conditional-MC campaign.
+#[derive(Debug, Clone)]
+pub struct BurstCheckRow {
+    /// Configuration label, e.g. `"(10+2)/(17+3)"`.
+    pub label: String,
+    /// Series name, e.g. `"C/D"` or `"Loc-Cp-S"`.
+    pub family: String,
+    /// Burst PDL at the stress cell (mean over conditional-MC samples).
+    pub burst_pdl: f64,
+    /// 95% CI half-width of the estimate.
+    pub ci_half_width: f64,
+    /// Conditional-MC samples spent (less than the budget when the
+    /// adaptive precision target fired).
+    pub trials: u64,
+    /// Achieved relative standard error.
+    pub rel_err: f64,
+}
+
+#[allow(clippy::too_many_arguments)]
+fn burst_check_campaign(
+    run_label: &str,
+    display: (&str, &str),
+    rel_err: f64,
+    min_samples: u64,
+    samples: u64,
+    seed: u64,
+    opts: &HeatmapRunOpts,
+    config_hash: u64,
+    sample: impl Fn(&mut mlec_runner::TrialRng) -> f64 + Sync,
+) -> std::io::Result<BurstCheckRow> {
+    let trial = mlec_runner::FnTrial(|seed: u64| {
+        let mut rng = trial_rng(seed);
+        sample(&mut rng)
+    });
+    let spec = opts.run_spec(
+        run_label,
+        seed,
+        StopRule::until_rel_err(rel_err, min_samples, samples),
+        config_hash,
+    );
+    let report = mlec_runner::run(&trial, &spec)?;
+    let s = report.summary;
+    Ok(BurstCheckRow {
+        label: display.0.to_string(),
+        family: display.1.to_string(),
+        burst_pdl: s.mean,
+        ci_half_width: (s.ci_high - s.ci_low) / 2.0,
+        trials: s.trials,
+        rel_err: s.rel_err,
+    })
+}
+
+/// Fig 12 `mode=sim`: the analytic tradeoff scatter of
+/// [`fig12_mlec_vs_slec`] plus a burst-PDL cross-check — for the paper's
+/// flagship configuration of each family, one adaptive conditional-MC
+/// campaign through `mlec-runner` measures the PDL of a `(failures,
+/// racks)` stress burst with a [`StopRule::until_rel_err`] precision
+/// target.
+#[allow(clippy::too_many_arguments)]
+pub fn fig12_mlec_vs_slec_sim(
+    model: &ThroughputModel,
+    failures: u32,
+    racks: u32,
+    rel_err: f64,
+    min_samples: u64,
+    samples: u64,
+    seed: u64,
+    opts: &HeatmapRunOpts,
+) -> std::io::Result<(Vec<TradeoffPoint>, Vec<BurstCheckRow>)> {
+    let points = fig12_mlec_vs_slec(model);
+    let g = Geometry::paper_default();
+    let mut rows = Vec::new();
+    let hash = |extra: &str| {
+        Json::obj(vec![
+            ("y", Json::U64(failures as u64)),
+            ("x", Json::U64(racks as u64)),
+            ("extra", Json::Str(extra.to_string())),
+        ])
+        .fingerprint()
+    };
+    for scheme in [MlecScheme::CC, MlecScheme::CD] {
+        let dep = MlecDeployment::paper_default(scheme);
+        let label = dep.params.to_string();
+        rows.push(burst_check_campaign(
+            &format!("fig12/{}", scheme.name().replace('/', "")),
+            (&label, &scheme.name()),
+            rel_err,
+            min_samples,
+            samples,
+            seed,
+            opts,
+            hash(&scheme.name()),
+            |rng| mlec_burst_sample(&dep, failures, racks, rng),
+        )?);
+    }
+    let slec = SlecParams::new(7, 3);
+    for placement in SlecPlacement::ALL {
+        rows.push(burst_check_campaign(
+            &format!("fig12/{}", placement.name()),
+            (&slec.to_string(), &format!("{}-S", placement.name())),
+            rel_err,
+            min_samples,
+            samples,
+            seed,
+            opts,
+            hash(&format!("{} {}", placement.name(), slec)),
+            |rng| slec_burst_sample(&g, slec, placement, failures, racks, rng),
+        )?);
+    }
+    Ok((points, rows))
+}
+
+/// One sampled LRC undecodability row of Fig 15 `mode=sim`.
+#[derive(Debug, Clone)]
+pub struct LrcUndecodableRow {
+    /// Configuration label, e.g. `"(14,2,4)"`.
+    pub label: String,
+    /// Analytic `P(undecodable | r + 2 uniform erasures)`.
+    pub analytic: f64,
+    /// Sampled estimate (exact rank tests through the runner).
+    pub sampled: f64,
+    /// Rank tests spent.
+    pub trials: u64,
+    /// Achieved relative CI half-width.
+    pub rel_err: f64,
+}
+
+/// Fig 15 `mode=sim`: the tradeoff scatter with every LRC point's
+/// undecodability thinning *measured* instead of assumed — one adaptive
+/// `mlec-runner` campaign of exact rank tests per LRC configuration
+/// (uniform `r + 2`-erasure patterns, [`StopRule::until_rel_err`]),
+/// feeding [`enumerate_lrc`] the sampled `P(undecodable)`. The MLEC C/D
+/// series stays analytic, as in the paper. Returns the scatter and the
+/// per-configuration sampled-vs-analytic rows.
+pub fn fig15_mlec_vs_lrc_sim(
+    model: &ThroughputModel,
+    rel_err: f64,
+    min_samples: u64,
+    samples: u64,
+    seed: u64,
+    opts: &HeatmapRunOpts,
+) -> std::io::Result<(Vec<TradeoffPoint>, Vec<LrcUndecodableRow>)> {
+    let g = Geometry::paper_default();
+    let c = SimConfig::paper_default();
+    let rows = std::cell::RefCell::new(Vec::new());
+    let io_err = std::cell::RefCell::new(None);
+    let mut points = enumerate_mlec(&g, &c, MlecScheme::CD, OVERHEAD_BAND, model);
+    points.extend(enumerate_lrc(&g, &c, OVERHEAD_BAND, model, |params| {
+        let analytic = ideal_lrc_undecodable_at_limit(params);
+        if io_err.borrow().is_some() {
+            return analytic;
+        }
+        let lrc = Lrc::new(params.k, params.l, params.r).expect("enumerated LRC is valid");
+        let m = params.r + 2;
+        let n = lrc.total_chunks();
+        let trial = HitTrial(|seed: u64| {
+            use rand::Rng as _;
+            let mut rng = trial_rng(seed);
+            let mut erased = vec![false; n];
+            // Uniform m-subset via partial Fisher-Yates over chunk indices.
+            let mut idx: Vec<usize> = (0..n).collect();
+            for i in 0..m {
+                let j = rng.gen_range(i..n);
+                idx.swap(i, j);
+                erased[idx[i]] = true;
+            }
+            !lrc.decodable(&erased)
+        });
+        let run_label = format!("fig15/lrc-{}-{}-{}", params.k, params.l, params.r);
+        let config_hash = Json::obj(vec![
+            ("params", Json::Str(params.to_string())),
+            ("erasures", Json::U64(m as u64)),
+        ])
+        .fingerprint();
+        let spec = opts.run_spec(
+            &run_label,
+            seed,
+            StopRule::until_rel_err(rel_err, min_samples, samples),
+            config_hash,
+        );
+        match mlec_runner::run(&trial, &spec) {
+            Ok(report) => {
+                let s = report.summary;
+                rows.borrow_mut().push(LrcUndecodableRow {
+                    label: params.to_string(),
+                    analytic,
+                    sampled: s.mean,
+                    trials: s.trials,
+                    rel_err: s.rel_err,
+                });
+                s.mean
+            }
+            Err(e) => {
+                *io_err.borrow_mut() = Some(e);
+                analytic
+            }
+        }
+    }));
+    if let Some(e) = io_err.into_inner() {
+        return Err(e);
+    }
+    Ok((points, rows.into_inner()))
+}
+
+impl_to_json!(BurstCheckRow {
+    label,
+    family,
+    burst_pdl,
+    ci_half_width,
+    trials,
+    rel_err,
+});
+impl_to_json!(LrcUndecodableRow {
+    label,
+    analytic,
+    sampled,
+    trials,
+    rel_err,
+});
 
 static FIG12_INFO: ExperimentInfo = ExperimentInfo {
     name: "fig12",
@@ -1365,6 +2327,49 @@ experiment!(Fig15, FIG15_INFO, run_fig15);
 
 // ---------------------------------------------------------- fig13/fig16
 
+/// Fig 13: PDL heatmaps of the four SLEC placements under bursts, run
+/// with `opts` (threads, manifests).
+pub fn fig13_slec_burst(
+    spec: &HeatmapSpec,
+    params: SlecParams,
+    opts: &HeatmapRunOpts,
+) -> Vec<Heatmap> {
+    let g = Geometry::paper_default();
+    SlecPlacement::ALL
+        .into_iter()
+        .map(|placement| {
+            let run_label = format!("fig13/{}", placement.name());
+            run_heatmap(
+                placement.name().to_string(),
+                &run_label,
+                spec,
+                opts,
+                heatmap_config_hash(
+                    spec,
+                    &format!("{} {}+{}", placement.name(), params.k, params.p),
+                ),
+                |y, x, rng| slec_burst_sample(&g, params, placement, y, x, rng),
+            )
+        })
+        .collect()
+}
+
+/// Fig 16: PDL heatmap of the paper's `(14,2,4)` LRC-Dp under bursts, run
+/// with `opts` (threads, manifests).
+pub fn fig16_lrc_burst(spec: &HeatmapSpec, params: LrcParams, opts: &HeatmapRunOpts) -> Heatmap {
+    let g = Geometry::paper_default();
+    let lrc = Lrc::new(params.k, params.l, params.r).expect("valid LRC");
+    let curve = lrc_undecodable_by_count(&lrc, 2000, spec.seed);
+    run_heatmap(
+        format!("LRC-Dp {params}"),
+        "fig16/LRC-Dp",
+        spec,
+        opts,
+        heatmap_config_hash(spec, &format!("{params}")),
+        |y, x, rng| lrc_burst_sample(&g, params, &curve, y, x, rng),
+    )
+}
+
 static FIG13_INFO: ExperimentInfo = ExperimentInfo {
     name: "fig13",
     title: "Figure 13",
@@ -1379,7 +2384,7 @@ fn run_fig13(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
     let spec = heatmap_spec(ctx);
     let mut out = ExperimentOutput::new();
     heatmap_grid_line(&mut out, &spec);
-    let maps = fig13_slec_burst_with(&spec, SlecParams::new(7, 3), &ctx.runner);
+    let maps = fig13_slec_burst(&spec, SlecParams::new(7, 3), &ctx.runner);
     render_maps(&mut out, &spec, &maps);
     w!(
         out.text,
@@ -1413,7 +2418,7 @@ fn run_fig16(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
     let spec = heatmap_spec(ctx);
     let mut out = ExperimentOutput::new();
     heatmap_grid_line(&mut out, &spec);
-    let map = fig16_lrc_burst_with(&spec, LrcParams::paper_default(), &ctx.runner);
+    let map = fig16_lrc_burst(&spec, LrcParams::paper_default(), &ctx.runner);
     render_maps(&mut out, &spec, std::slice::from_ref(&map));
     w!(
         out.text,
@@ -1426,6 +2431,60 @@ fn run_fig16(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
 experiment!(Fig16, FIG16_INFO, run_fig16);
 
 // --------------------------------------------------------------- sec514
+
+/// §5.1.4 / §5.2.4: repair network traffic comparison.
+#[derive(Debug, Clone)]
+pub struct TrafficRow {
+    /// System label.
+    pub system: String,
+    /// Cross-rack repair traffic, TB per day.
+    pub tb_per_day: f64,
+    /// Cross-rack repair traffic, TB per year.
+    pub tb_per_year: f64,
+}
+
+/// Repair-traffic comparison: network SLEC, LRC-Dp, and MLEC per method.
+pub fn repair_traffic_comparison() -> Vec<TrafficRow> {
+    let g = Geometry::paper_default();
+    let c = SimConfig::paper_default();
+    let mut out = vec![
+        TrafficRow {
+            system: "Net-SLEC (7+3)".into(),
+            tb_per_day: traffic::net_slec_daily_traffic(&g, &c, 7).to_tb(),
+            tb_per_year: traffic::net_slec_daily_traffic(&g, &c, 7).to_tb() * 365.25,
+        },
+        TrafficRow {
+            system: "Net-SLEC (14+6)".into(),
+            tb_per_day: traffic::net_slec_daily_traffic(&g, &c, 14).to_tb(),
+            tb_per_year: traffic::net_slec_daily_traffic(&g, &c, 14).to_tb() * 365.25,
+        },
+        TrafficRow {
+            system: "LRC-Dp (14,2,4)".into(),
+            tb_per_day: traffic::lrc_daily_traffic(&g, &c, LrcParams::paper_default()).to_tb(),
+            tb_per_year: traffic::lrc_daily_traffic(&g, &c, LrcParams::paper_default()).to_tb()
+                * 365.25,
+        },
+    ];
+    for scheme in MlecScheme::ALL {
+        let dep = MlecDeployment::paper_default(scheme);
+        let rate = system_catastrophic_rate(&dep);
+        for method in [RepairMethod::All, RepairMethod::Min] {
+            let yearly = traffic::mlec_yearly_traffic(&dep, method, rate).to_tb();
+            out.push(TrafficRow {
+                system: format!("MLEC {} {}", scheme.name(), method.name()),
+                tb_per_day: yearly / 365.25,
+                tb_per_year: yearly,
+            });
+        }
+    }
+    out
+}
+
+impl_to_json!(TrafficRow {
+    system,
+    tb_per_day,
+    tb_per_year,
+});
 
 static SEC514_INFO: ExperimentInfo = ExperimentInfo {
     name: "sec514",
@@ -1577,7 +2636,6 @@ static PAPER_SUMMARY_INFO: ExperimentInfo = ExperimentInfo {
 };
 
 fn run_paper_summary(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentError> {
-    use mlec_sim::{traffic, SimConfig};
     let mut out = ExperimentOutput::new();
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut add = |exp: &str, what: &str, paper: &str, ours: String| {
@@ -1632,7 +2690,7 @@ fn run_paper_summary(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, Experimen
         format!("{:.5}%/yr", p("C/D") * 100.0),
     );
 
-    let f8 = fig8_fig9_repair_methods();
+    let f8 = fig8_fig9_repair_methods(&RepairMethod::PAPER);
     let traffic_of = |s: &str, m: &str| {
         f8.iter()
             .find(|c| c.scheme == s && c.method == m)
@@ -1853,12 +2911,9 @@ fn run_validation(ctx: &ExperimentCtx) -> Result<ExperimentOutput, ExperimentErr
             log_label: "",
         };
         let label = format!("validation/{}", scheme.name().replace('/', ""));
-        let mut spec = RunSpec::new(&label, seed, StopRule::fixed(runs))
-            .threads(ctx.runner.threads)
-            .config_hash(config_hash);
-        if let Some(dir) = &ctx.runner.manifest_dir {
-            spec = spec.manifest(dir.join(format!("{}.jsonl", label.replace('/', "-"))));
-        }
+        let spec = ctx
+            .runner
+            .run_spec(&label, seed, StopRule::fixed(runs), config_hash);
         let report = mlec_runner::run(&trial, &spec)?;
         if report.resumed_trials > 0 {
             w!(
@@ -2432,3 +3487,58 @@ fn run_store_bench_exp(ctx: &ExperimentCtx) -> Result<ExperimentOutput, Experime
 }
 
 experiment!(StoreBench, STORE_BENCH_INFO, run_store_bench_exp);
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fig5_small_grid_runs() {
+        let spec = HeatmapSpec {
+            max: 12,
+            step: 6,
+            samples: 10,
+            seed: 1,
+            ..HeatmapSpec::default()
+        };
+        let maps = fig5_mlec_burst(&spec, &HeatmapRunOpts::default());
+        assert_eq!(maps.len(), 4);
+        for m in &maps {
+            assert_eq!(m.pdl.len(), m.ys.len());
+            // y < x cells are NaN; others are probabilities.
+            for (yi, row) in m.pdl.iter().enumerate() {
+                for (xi, &v) in row.iter().enumerate() {
+                    if m.ys[yi] < m.xs[xi] {
+                        assert!(v.is_nan());
+                    } else {
+                        assert!(
+                            (0.0..=1.0).contains(&v),
+                            "{} y{} x{} = {v}",
+                            m.label,
+                            yi,
+                            xi
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fig11_tiny_grid() {
+        let cells = fig11_encoding_throughput(&[2, 4], &[1, 2], 4096, 1 << 18, 1);
+        assert_eq!(cells.len(), 4);
+        assert!(cells.iter().all(|c| c.mb_per_s > 0.0));
+    }
+
+    #[test]
+    fn fig11_threaded_grid_measurable() {
+        // threads > 1 exercises encode_into_parallel under the measurement
+        // path; results stay finite/positive regardless of host core count.
+        let cells = fig11_encoding_throughput(&[4], &[2], 4096, 1 << 18, 4);
+        assert_eq!(cells.len(), 1);
+        assert!(cells
+            .iter()
+            .all(|c| c.mb_per_s > 0.0 && c.mb_per_s.is_finite()));
+    }
+}

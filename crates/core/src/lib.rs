@@ -1,7 +1,7 @@
 //! `mlec-core`: the public facade of the MLEC analysis suite.
 //!
 //! Downstream users get one crate that re-exports the full stack and exposes
-//! [`experiments`] — a runner per table/figure of the paper — plus the
+//! [`figures`] — a runner per table/figure of the paper — plus the
 //! [`MlecSystem`] convenience type for interactive exploration (see the
 //! workspace `examples/`).
 //!
@@ -16,7 +16,6 @@
 //! ```
 
 pub mod advisor;
-pub mod experiments;
 pub mod figdata;
 pub mod figures;
 pub mod registry;
@@ -112,16 +111,6 @@ impl MlecSystem {
             samples,
             seed,
         )
-    }
-
-    /// Yearly cross-rack repair traffic under a method (§5.1.4).
-    pub fn yearly_repair_traffic_tb(&self, method: RepairMethod) -> f64 {
-        mlec_sim::traffic::mlec_yearly_traffic(
-            &self.deployment,
-            method,
-            mlec_analysis::chains::system_catastrophic_rate(&self.deployment),
-        )
-        .to_tb()
     }
 }
 

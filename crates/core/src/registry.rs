@@ -6,10 +6,10 @@
 //! driver (`mlec` in `mlec-bench`) resolves `key=value` arguments against
 //! that schema *before* running anything: unknown keys, malformed values,
 //! and unsupported modes are hard errors, never silently ignored. The
-//! implementations live in [`crate::figures`]; the per-figure binaries are
-//! thin compatibility shims over [`run_experiment`].
+//! implementations live in [`crate::figures`]; `mlec run <name>` executes
+//! one through [`run_experiment`].
 
-use crate::experiments::HeatmapRunOpts;
+use crate::figures::HeatmapRunOpts;
 use crate::report::{dump_json_in, DumpError};
 use mlec_runner::Json;
 use std::collections::BTreeMap;

@@ -1,8 +1,8 @@
-//! Plain-text rendering for the figure binaries: aligned tables and
+//! Plain-text rendering for the experiment reports: aligned tables and
 //! log-scale heatmaps that read like the paper's figures in a terminal,
 //! plus JSON dumping for machine consumption.
 
-use crate::experiments::Heatmap;
+use crate::figures::Heatmap;
 use mlec_runner::ToJson;
 use std::path::Path;
 
@@ -123,15 +123,6 @@ pub fn dump_json_in<T: ToJson + ?Sized>(
         Ok(()) => Ok(path),
         Err(source) => Err(DumpError { path, source }),
     }
-}
-
-/// [`dump_json_in`] at the default artifact directory,
-/// `target/figures/<name>.json`.
-pub fn dump_json<T: ToJson + ?Sized>(
-    name: &str,
-    value: &T,
-) -> Result<std::path::PathBuf, DumpError> {
-    dump_json_in(&Path::new("target").join("figures"), name, value)
 }
 
 /// Format a float with engineering-friendly precision: probabilities in

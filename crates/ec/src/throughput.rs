@@ -12,10 +12,8 @@
 //! parallel measurements are spawned once and fed batches through a
 //! barrier), with a warm-up pass, reporting data MB processed per second.
 
-use crate::mlec::MlecCodec;
 use crate::rs::ReedSolomon;
-use crate::scheme::{EcScheme, LrcParams, MlecParams, SlecParams};
-use crate::Lrc;
+use crate::scheme::{EcScheme, SlecParams};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
@@ -81,77 +79,6 @@ pub fn measure_slec_mt(
         k,
         p,
         mb_per_s: (iters * stripe_data_bytes) as f64 / 1e6 / elapsed,
-    }
-}
-
-/// Measure MLEC two-level encoding throughput (both levels timed together,
-/// as a storage server + enclosure controller pipeline would see it).
-pub fn measure_mlec(params: MlecParams, chunk_bytes: usize, min_bytes: usize) -> ThroughputPoint {
-    let codec = MlecCodec::new(
-        params.network.k,
-        params.network.p,
-        params.local.k,
-        params.local.p,
-    )
-    .expect("valid MLEC params");
-    let nd = codec.data_chunks();
-    let data: Vec<Vec<u8>> = (0..nd)
-        .map(|s| {
-            (0..chunk_bytes)
-                .map(|i| ((s * 31 + i) % 256) as u8)
-                .collect()
-        })
-        .collect();
-
-    let _ = codec.encode(&data).unwrap(); // warm-up
-
-    let stripe_data_bytes = nd * chunk_bytes;
-    let iters = (min_bytes / stripe_data_bytes).max(1);
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(codec.encode(&data).unwrap());
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    ThroughputPoint {
-        k: params.data_chunks(),
-        p: params.total_chunks() - params.data_chunks(),
-        mb_per_s: (iters * stripe_data_bytes) as f64 / 1e6 / elapsed,
-    }
-}
-
-/// Measure LRC `(k, l, r)` two-stage encoding throughput.
-pub fn measure_lrc(params: LrcParams, chunk_bytes: usize, min_bytes: usize) -> ThroughputPoint {
-    let lrc = Lrc::new(params.k, params.l, params.r).expect("valid LRC params");
-    let data: Vec<Vec<u8>> = (0..params.k)
-        .map(|s| {
-            (0..chunk_bytes)
-                .map(|i| ((s * 31 + i) % 256) as u8)
-                .collect()
-        })
-        .collect();
-
-    let _ = lrc.encode(&data).unwrap(); // warm-up
-
-    let stripe_data_bytes = params.k * chunk_bytes;
-    let iters = (min_bytes / stripe_data_bytes).max(1);
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(lrc.encode(&data).unwrap());
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    ThroughputPoint {
-        k: params.k,
-        p: params.l + params.r,
-        mb_per_s: (iters * stripe_data_bytes) as f64 / 1e6 / elapsed,
-    }
-}
-
-/// Measure any [`EcScheme`].
-pub fn measure_scheme(scheme: EcScheme, chunk_bytes: usize, min_bytes: usize) -> ThroughputPoint {
-    match scheme {
-        EcScheme::Slec(SlecParams { k, p }) => measure_slec(k, p, chunk_bytes, min_bytes),
-        EcScheme::Mlec(m) => measure_mlec(m, chunk_bytes, min_bytes),
-        EcScheme::Lrc(l) => measure_lrc(l, chunk_bytes, min_bytes),
     }
 }
 
@@ -352,14 +279,6 @@ mod tests {
             slow.mb_per_s,
             fast.mb_per_s
         );
-    }
-
-    #[test]
-    fn mlec_and_lrc_measurable() {
-        let m = measure_mlec(MlecParams::new(2, 1, 2, 1), SMALL_CHUNK, SMALL_BYTES / 4);
-        assert!(m.mb_per_s > 0.0);
-        let l = measure_lrc(LrcParams::new(4, 2, 2), SMALL_CHUNK, SMALL_BYTES / 4);
-        assert!(l.mb_per_s > 0.0);
     }
 
     #[test]

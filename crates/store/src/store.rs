@@ -841,11 +841,6 @@ impl<B: ChunkBackend> MlecStore<B> {
         }
     }
 
-    /// Chunks currently cached, over all rack cache shards.
-    pub fn cached_chunks(&self) -> usize {
-        self.lanes.iter().map(|l| l.cache.len()).sum()
-    }
-
     /// The bandwidth arbiter (lane totals).
     pub fn arbiter(&self) -> &ShardedArbiter {
         &self.arbiter

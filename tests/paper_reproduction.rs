@@ -1,8 +1,8 @@
 //! Cross-crate integration tests: the paper's headline numbers and finding
 //! orderings, exercised through the public `mlec-core` facade exactly as the
-//! figure binaries do.
+//! `mlec run` experiments do.
 
-use mlec_core::experiments::{
+use mlec_core::figures::{
     fig10_durability, fig7_catastrophic_prob, fig8_fig9_repair_methods, repair_traffic_comparison,
     table2_and_fig6,
 };
@@ -14,6 +14,10 @@ use mlec_core::MlecSystem;
 fn table2_full_reproduction() {
     // Every cell of Table 2, against the paper's printed values.
     let rows = table2_and_fig6();
+    let order: Vec<&str> = rows.iter().map(|r| r.scheme.as_str()).collect();
+    assert_eq!(order, ["C/C", "C/D", "D/C", "D/D"]);
+    assert!((rows[0].disk_bw_mbs - 40.0).abs() < 0.5);
+    assert!((rows[0].pool_bw_mbs - 250.0).abs() < 0.5);
     let expect = [
         ("C/C", 20.0, 40.0, 400.0, 250.0),
         ("C/D", 20.0, 264.0, 2400.0, 250.0),
@@ -61,7 +65,8 @@ fn fig6_repair_time_orderings() {
 
 #[test]
 fn fig8_traffic_exact_cells() {
-    let cells = fig8_fig9_repair_methods();
+    let cells = fig8_fig9_repair_methods(&RepairMethod::PAPER);
+    assert_eq!(cells.len(), 16);
     let get = |s: &str, m: &str| {
         cells
             .iter()
@@ -92,6 +97,8 @@ fn fig7_catastrophic_probability_split() {
 #[test]
 fn fig10_all_findings() {
     let cells = fig10_durability();
+    assert_eq!(cells.len(), 16);
+    assert!(cells.iter().all(|c| c.nines > 5.0));
     let get = |s: &str, m: &str| {
         cells
             .iter()
@@ -133,6 +140,11 @@ fn traffic_comparison_orders_of_magnitude() {
         .unwrap();
     // Paper §5.1.4: "hundreds of TB ... every day".
     assert!(slec.tb_per_day > 100.0 && slec.tb_per_day < 999.0);
+    let mlec_cc_min = rows
+        .iter()
+        .find(|r| r.system.contains("C/C") && r.system.contains("R_MIN"))
+        .unwrap();
+    assert!(mlec_cc_min.tb_per_year < 0.1);
     // MLEC with any method: a few TB per thousands of years.
     for r in rows.iter().filter(|r| r.system.starts_with("MLEC")) {
         assert!(
@@ -149,7 +161,7 @@ fn facade_end_to_end_consistency() {
     // The facade and the experiment runners must agree.
     let system = MlecSystem::paper_default(MlecScheme::CD);
     let plan = system.plan_catastrophic_repair(RepairMethod::Hyb);
-    let cells = fig8_fig9_repair_methods();
+    let cells = fig8_fig9_repair_methods(&RepairMethod::PAPER);
     let cell = cells
         .iter()
         .find(|c| c.scheme == "C/D" && c.method == "R_HYB")

@@ -442,3 +442,88 @@ fn parse_param_names(body: &[&Token]) -> Vec<String> {
     }
     names
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::Path;
+
+    /// The `figures::<Ty>` entries of `static REGISTRY` in registry.rs.
+    fn registry_entries(ws: &Workspace) -> Vec<String> {
+        let file = ws
+            .file("crates/core/src/registry.rs")
+            .expect("registry.rs is loaded");
+        let sig: Vec<&Token> = file.code().into_iter().map(|(_, t)| t).collect();
+        let start = sig
+            .windows(2)
+            .position(|w| {
+                matches!(&w[0].tok, Tok::Ident(s) if s == "static")
+                    && matches!(&w[1].tok, Tok::Ident(s) if s == "REGISTRY")
+            })
+            .expect("`static REGISTRY` in registry.rs");
+        sig[start..item_extent(&sig, start)]
+            .windows(4)
+            .filter_map(|w| match (&w[0].tok, &w[1].tok, &w[2].tok, &w[3].tok) {
+                (Tok::Ident(m), Tok::Punct(':'), Tok::Punct(':'), Tok::Ident(ty))
+                    if m == "figures" =>
+                {
+                    Some(ty.clone())
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// L5 returns without a finding when its target file is missing and
+    /// skips registrations it cannot parse, so a renamed file or a new
+    /// registration form would turn it into a silent pass. Pin the model
+    /// to the live registry: one resolved `experiment!` per entry.
+    #[test]
+    fn model_resolves_one_registration_per_registry_entry() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .expect("xtask sits in the workspace root");
+        let ws = Workspace::load(root).expect("load workspace");
+        let file = ws.file(TARGET).expect("L5 target file exists");
+        let sig: Vec<&Token> = file.code().into_iter().map(|(_, t)| t).collect();
+        let model = Model::parse(&sig);
+
+        let mut registry = registry_entries(&ws);
+        registry.sort();
+        let mut registered: Vec<String> = model.experiments.iter().map(|e| e.ty.clone()).collect();
+        registered.sort();
+        assert!(!registry.is_empty(), "no `figures::` entries in REGISTRY");
+        assert_eq!(
+            registered, registry,
+            "experiment! registrations vs REGISTRY"
+        );
+
+        for exp in &model.experiments {
+            let info = model
+                .infos
+                .get(&exp.info_static)
+                .unwrap_or_else(|| panic!("{}: no static {}", exp.ty, exp.info_static));
+            let declared = match &info.params {
+                ParamsRef::Inline(list) => list,
+                ParamsRef::Named(name) => model
+                    .shared_params
+                    .get(name)
+                    .unwrap_or_else(|| panic!("{}: params static {name} unresolved", exp.ty)),
+            };
+            assert!(
+                model.fns.contains_key(&exp.run_fn),
+                "{}: run fn {} not found",
+                exp.ty,
+                exp.run_fn
+            );
+            if !declared.is_empty() {
+                assert!(
+                    !model.reachable_reads(&exp.run_fn).is_empty(),
+                    "{}: declares parameters but L5 sees no reads from {}",
+                    exp.ty,
+                    exp.run_fn
+                );
+            }
+        }
+    }
+}
